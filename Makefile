@@ -9,9 +9,13 @@ test:
 	$(GO) test ./...
 
 # Whole-repo race gate: every package under the race detector, not
-# just the targeted smokes. CI runs this as its own job.
+# just the targeted smokes, then the cache coalescing and wedge tests
+# rerun 50 times, since a scheduling-dependent flake there shows only
+# across many runs. CI runs this as its own job.
 race:
 	$(GO) test -race -timeout 10m ./...
+	$(GO) test -race -count=50 -timeout 10m -run 'Coalesce|Wedge|ContextBounds' ./internal/lru/
+	$(GO) test -race -count=50 -timeout 10m -run 'Singleflight|Wedge' ./internal/simcache/
 
 # Lint pipeline (docs/LINT.md): vet with the lock-copy and atomic
 # misuse analyzers called out explicitly (so a vet default change can

@@ -1,7 +1,7 @@
-// reproduce regenerates the paper's entire evaluation — Table II and
-// Figures 2 through 7 — into an output directory, with each result in
-// aligned-text, CSV and JSON forms plus a manifest recording scales,
-// seeds and wall times.
+// reproduce regenerates the paper's entire evaluation — Table II,
+// Figure 2 and the sweep figures of core.Figures (3 through 9) — into
+// an output directory, with each result in aligned-text, CSV and JSON
+// forms plus a manifest recording scales, seeds and wall times.
 //
 //	reproduce -out results                  # reduced scale, ~minutes
 //	reproduce -out results -scale paper     # Table II node counts, hours
@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strings"
 
 	"repro/internal/campaign"
@@ -27,7 +28,7 @@ func main() {
 		iters = flag.Int("iters", 0, "iterations override")
 		reps  = flag.Int("reps", 0, "repetitions override")
 		seed  = flag.Uint64("seed", 1, "base seed")
-		only  = flag.String("only", "", "comma-separated subset of {2,3,4,5,6,7}")
+		only  = flag.String("only", "", "comma-separated subset of {"+figureIDs()+"}")
 		atURL = flag.String("cluster", "", "coordinator URL: run the sweep figures on a cesimd cluster")
 	)
 	flag.Parse()
@@ -61,4 +62,15 @@ func main() {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, err)
 	os.Exit(1)
+}
+
+// figureIDs lists the -only values: Figure 2 plus every sweep figure in
+// core.Figures, in order.
+func figureIDs() string {
+	ids := []string{"2"}
+	for id := range core.Figures() {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	return strings.Join(ids, ",")
 }

@@ -16,7 +16,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/faultmodel"
 	"repro/internal/report"
@@ -45,7 +44,7 @@ func main() {
 		CEsPerFaultHour: *ceRate,
 	}
 	if *faultMix != "" {
-		spec, err := resolveFaultMix(*faultMix)
+		spec, err := systems.ResolveFaultMix(*faultMix)
 		if err != nil {
 			fatal(err)
 		}
@@ -103,26 +102,6 @@ func main() {
 	if err := t.WriteASCII(os.Stdout); err != nil {
 		fatal(err)
 	}
-}
-
-// resolveFaultMix interprets the -fault-mix argument the same way cesim
-// does: a catalog preset name wins, anything else is read as a JSON spec
-// file.
-func resolveFaultMix(arg string) (*faultmodel.Spec, error) {
-	if fm, err := systems.FaultMixByName(arg); err == nil {
-		spec := fm.Spec
-		return &spec, nil
-	}
-	data, err := os.ReadFile(arg)
-	if err != nil {
-		return nil, fmt.Errorf("-fault-mix %q is neither a preset (%s) nor a readable spec file: %v",
-			arg, strings.Join(systems.FaultMixNames(), ", "), err)
-	}
-	spec, err := faultmodel.ParseSpec(data)
-	if err != nil {
-		return nil, err
-	}
-	return &spec, nil
 }
 
 // mixFromSpec folds a faultmodel mixture onto retire's per-kind weights:

@@ -28,10 +28,12 @@
 package advise
 
 import (
-	"container/list"
+	"context"
 	"fmt"
 	"strings"
 	"sync"
+
+	"repro/internal/lru"
 )
 
 // Event is one correctable-error observation on the wire: a single
@@ -137,76 +139,45 @@ func (c Config) withDefaults() Config {
 type Service struct {
 	cfg   Config
 	store *Store
+	// cache holds policy evaluations, each costed 1 so its bound is
+	// CacheEntries; nil when caching is disabled.
+	cache *lru.Cache[string, *Recommendation]
 
 	mu       sync.Mutex
-	cache    map[string]*list.Element
-	order    *list.List // LRU: front = most recent
-	hits     uint64
-	misses   uint64
 	bypasses uint64
 	rejects  uint64
-}
-
-// cacheEntry is one cached policy evaluation.
-type cacheEntry struct {
-	key string
-	rec *Recommendation
 }
 
 // NewService builds the advisor.
 func NewService(cfg Config) *Service {
 	cfg = cfg.withDefaults()
-	return &Service{
-		cfg:   cfg,
-		store: NewStore(cfg.Store),
-		cache: map[string]*list.Element{},
-		order: list.New(),
+	s := &Service{cfg: cfg, store: NewStore(cfg.Store)}
+	if cfg.CacheEntries >= 0 {
+		s.cache = lru.New[string](int64(cfg.CacheEntries), func(*Recommendation) int64 { return 1 })
 	}
+	return s
 }
 
 // Store exposes the estimator state (tests and cluster tooling).
 func (s *Service) Store() *Store { return s.store }
 
-// cacheGet returns a cached policy evaluation. ok is only ever true
-// when caching is enabled.
-func (s *Service) cacheGet(key string) (*Recommendation, bool) {
-	if s.cfg.CacheEntries < 0 {
+// evaluate returns the policy answer for in and how it was produced:
+// "hit", "miss" or "bypass" (caching disabled).
+func (s *Service) evaluate(in Inputs) (*Recommendation, string, error) {
+	if s.cache == nil {
 		s.mu.Lock()
 		s.bypasses++
 		s.mu.Unlock()
-		return nil, false
+		rec, err := Advise(in)
+		return rec, "bypass", err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.cache[key]
-	if !ok {
-		s.misses++
-		return nil, false
+	rec, hit, err := s.cache.GetOrBuild(context.Background(), cacheKey(in), func() (*Recommendation, error) {
+		return Advise(in)
+	})
+	if hit {
+		return rec, "hit", err
 	}
-	s.hits++
-	s.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).rec, true
-}
-
-// cachePut stores a policy evaluation, evicting the least recently
-// used entry past the bound.
-func (s *Service) cachePut(key string, rec *Recommendation) {
-	if s.cfg.CacheEntries < 0 {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.cache[key]; ok {
-		el.Value.(*cacheEntry).rec = rec
-		s.order.MoveToFront(el)
-		return
-	}
-	s.cache[key] = s.order.PushFront(&cacheEntry{key: key, rec: rec})
-	for len(s.cache) > s.cfg.CacheEntries {
-		el := s.order.Back()
-		s.order.Remove(el)
-		delete(s.cache, el.Value.(*cacheEntry).key)
-	}
+	return rec, "miss", err
 }
 
 // Stats is the advisor's /metrics section.
@@ -228,13 +199,16 @@ type Stats struct {
 func (s *Service) Stats() Stats {
 	s.mu.Lock()
 	st := Stats{
-		CacheEntries:      len(s.cache),
-		RecommendHits:     s.hits,
-		RecommendMisses:   s.misses,
 		RecommendBypasses: s.bypasses,
 		IngestRejects:     s.rejects,
 	}
 	s.mu.Unlock()
+	if s.cache != nil {
+		cs := s.cache.Stats()
+		st.CacheEntries = cs.Entries
+		st.RecommendHits = cs.Hits + cs.Coalesced
+		st.RecommendMisses = cs.Misses
+	}
 	st.Store = s.store.Stats()
 	return st
 }

@@ -211,21 +211,9 @@ func (s *Service) Recommend(tenant, node string, in Inputs) (*Recommendation, st
 	in.Fault = cls.Kind
 	in.FaultConfidence = cls.Confidence
 
-	key := cacheKey(in)
-	outcome := "bypass"
-	rec, hit := s.cacheGet(key)
-	if hit {
-		outcome = "hit"
-	} else {
-		var err error
-		rec, err = Advise(in)
-		if err != nil {
-			return nil, "", err
-		}
-		if s.cfg.CacheEntries >= 0 {
-			outcome = "miss"
-			s.cachePut(key, rec)
-		}
+	rec, outcome, err := s.evaluate(in)
+	if err != nil {
+		return nil, "", err
 	}
 
 	// Shallow-copy the cached evaluation before attaching the exact,

@@ -20,6 +20,7 @@
 package collectives
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/trace"
@@ -156,7 +157,14 @@ func Expand(t *trace.Trace, cfg Config) (*trace.Trace, error) {
 				e.expandDirect(key)
 				continue
 			}
-			sch := schedCache.getOrBuild(key, func() schedule { return buildCanonical(key) })
+			// The builder never fails and Background never ends, so err
+			// is set only when a concurrent build of key panicked.
+			sch, _, err := schedCache.GetOrBuild(context.Background(), key, func() (schedule, error) {
+				return buildCanonical(key), nil
+			})
+			if err != nil {
+				return nil, err
+			}
 			e.splice(sch)
 		}
 		if r == 0 {

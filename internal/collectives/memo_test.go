@@ -1,11 +1,12 @@
 package collectives
 
 import (
+	"context"
 	"fmt"
 	"reflect"
-	"sync"
 	"testing"
 
+	"repro/internal/lru"
 	"repro/internal/trace"
 )
 
@@ -61,37 +62,50 @@ func TestMemoizedExpansionBitIdentical(t *testing.T) {
 	}
 }
 
+// getOrBuild looks key up in c, building its canonical schedule on a
+// miss and counting builds.
+func getOrBuild(t *testing.T, c *lru.Cache[schedKey, schedule], key schedKey, builds *int) schedule {
+	t.Helper()
+	sch, _, err := c.GetOrBuild(context.Background(), key, func() (schedule, error) {
+		*builds++
+		return buildCanonical(key), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sch
+}
+
 // TestScheduleCacheHits: repeated expansion of the same trace must be
 // served from the cache, not rebuilt.
 func TestScheduleCacheHits(t *testing.T) {
-	c := newScheduleCache(0)
+	c := lru.New[schedKey](DefaultScheduleCacheBytes, scheduleCost)
 	builds := 0
 	key := schedKey{kind: trace.OpAllreduce, algo: AllreduceRing, n: 8, rank: 3, size: 1024}
-	build := func() schedule { builds++; return buildCanonical(key) }
-	first := c.getOrBuild(key, build)
-	second := c.getOrBuild(key, build)
+	first := getOrBuild(t, c, key, &builds)
+	second := getOrBuild(t, c, key, &builds)
 	if builds != 1 {
 		t.Fatalf("schedule built %d times, want 1", builds)
 	}
 	if !reflect.DeepEqual(first, second) {
 		t.Fatal("cache returned a different schedule on the hit")
 	}
-	st := c.stats()
+	st := c.Stats()
 	if st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("stats = %+v, want 1 hit / 1 miss", st)
 	}
 }
 
-// TestScheduleCacheEviction: the cache respects its byte bound, keeps
-// the most recent entry even when it alone exceeds the bound, and
-// counts evictions.
+// TestScheduleCacheEviction: schedules are priced by scheduleCost, so
+// a 16-rank sweep overflows a bound sized for three 40-op schedules,
+// evicts, and keeps the summed cost within the bound.
 func TestScheduleCacheEviction(t *testing.T) {
-	c := newScheduleCache(3 * (schedOpBytes*40 + schedEntryOverhead))
+	c := lru.New[schedKey](3*(schedOpBytes*40+schedEntryOverhead), scheduleCost)
+	builds := 0
 	for i := int32(0); i < 16; i++ {
-		key := schedKey{kind: trace.OpAllreduce, algo: AllreduceRing, n: 16, rank: i, size: 2048}
-		c.getOrBuild(key, func() schedule { return buildCanonical(key) })
+		getOrBuild(t, c, schedKey{kind: trace.OpAllreduce, algo: AllreduceRing, n: 16, rank: i, size: 2048}, &builds)
 	}
-	st := c.stats()
+	st := c.Stats()
 	if st.Entries >= 16 {
 		t.Fatalf("no eviction happened: %d entries resident", st.Entries)
 	}
@@ -100,53 +114,6 @@ func TestScheduleCacheEviction(t *testing.T) {
 	}
 	if st.SizeBytes > st.CapBytes && st.Entries > 1 {
 		t.Fatalf("cache over bound with %d entries: %d > %d", st.Entries, st.SizeBytes, st.CapBytes)
-	}
-}
-
-// TestScheduleCacheCoalescing: concurrent misses on one key run the
-// builder once; everyone gets the same schedule.
-func TestScheduleCacheCoalescing(t *testing.T) {
-	c := newScheduleCache(0)
-	key := schedKey{kind: trace.OpAlltoall, n: 32, rank: 5, size: 4096}
-	var mu sync.Mutex
-	builds := 0
-	gate := make(chan struct{})
-	build := func() schedule {
-		mu.Lock()
-		builds++
-		mu.Unlock()
-		<-gate // hold the flight open so others must coalesce
-		return buildCanonical(key)
-	}
-
-	const workers = 8
-	var wg sync.WaitGroup
-	results := make([]schedule, workers)
-	started := make(chan struct{}, workers)
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			started <- struct{}{}
-			results[i] = c.getOrBuild(key, build)
-		}(i)
-	}
-	for i := 0; i < workers; i++ {
-		<-started
-	}
-	close(gate)
-	wg.Wait()
-
-	if builds != 1 {
-		t.Fatalf("builder ran %d times under concurrency, want 1", builds)
-	}
-	for i := 1; i < workers; i++ {
-		if !reflect.DeepEqual(results[0], results[i]) {
-			t.Fatalf("worker %d got a different schedule", i)
-		}
-	}
-	if st := c.stats(); st.Coalesced == 0 {
-		t.Fatalf("no coalesced lookups recorded: %+v", st)
 	}
 }
 

@@ -49,6 +49,7 @@ var DeterministicPackages = map[string]bool{
 	"repro/internal/advise":      true,
 	"repro/internal/faultmodel":  true,
 	"repro/internal/journal":     true,
+	"repro/internal/lru":         true,
 }
 
 // allowedRandConstructors are math/rand(/v2) functions that take an

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/advise"
+	"repro/internal/collectives"
 	"repro/internal/faultinject"
 	"repro/internal/jobs"
 	"repro/internal/journal"
@@ -189,6 +190,8 @@ type Snapshot struct {
 	Latency       map[string]HistSnapshot `json:"latency"`
 	Jobs          jobs.Stats              `json:"jobs"`
 	Cache         simcache.Stats          `json:"cache"`
+	// ScheduleCache reports the process-wide collective-schedule memo.
+	ScheduleCache collectives.ScheduleCacheStats `json:"schedule_cache"`
 	// ShedRequests counts submissions rejected by admission control.
 	ShedRequests uint64 `json:"shed_requests"`
 	// HandlerPanics counts panics recovered at the HTTP layer.
@@ -233,6 +236,7 @@ func (m *Metrics) Snapshot(q *jobs.Queue, c *simcache.Cache, b *Breaker, adv *ad
 		Requests:      map[string]uint64{},
 		Statuses:      map[string]uint64{},
 		Latency:       map[string]HistSnapshot{},
+		ScheduleCache: collectives.ScheduleCache(),
 	}
 	m.mu.Lock()
 	for k, v := range m.requests {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/collectives"
 	"repro/internal/core"
 	"repro/internal/jobs"
 	"repro/internal/noise"
@@ -194,7 +195,8 @@ func TestSimulateEndToEnd(t *testing.T) {
 
 // TestRepeatedRequestsHitCache submits the same question twice and
 // checks the second is served from the baseline cache, with the hit
-// visible on /metrics.
+// visible on /metrics beside the collective-schedule memo the first
+// build went through.
 func TestRepeatedRequestsHitCache(t *testing.T) {
 	ts, _, _ := newTestServer(t, jobs.Config{})
 	for i := 0; i < 2; i++ {
@@ -223,6 +225,15 @@ func TestRepeatedRequestsHitCache(t *testing.T) {
 	}
 	if m.Jobs.Succeeded != 2 {
 		t.Fatalf("job counters: %+v", m.Jobs)
+	}
+	var sched struct {
+		ScheduleCache collectives.ScheduleCacheStats `json:"schedule_cache"`
+	}
+	if code := getJSON(t, ts.URL+"/metrics", &sched); code != http.StatusOK {
+		t.Fatalf("metrics status %d", code)
+	}
+	if s := sched.ScheduleCache; s.Hits+s.Misses == 0 || s.Entries == 0 || s.CapBytes != collectives.DefaultScheduleCacheBytes {
+		t.Fatalf("schedule memo invisible on /metrics: %+v", s)
 	}
 	if m.Latency[StageBaseline].Count != 2 || m.Latency[StageScenarios].Count != 2 {
 		t.Fatalf("stage histograms missing: %+v", m.Latency)

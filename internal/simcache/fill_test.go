@@ -64,8 +64,8 @@ func TestBuilderPanicDoesNotWedgeWaiters(t *testing.T) {
 	if _, hit, err := c.GetOrBuild(context.Background(), tinyCfg(1)); err != nil || hit {
 		t.Fatalf("post-panic lookup: hit=%v err=%v", hit, err)
 	}
-	if c.Len() != 1 {
-		t.Fatalf("entries %d, want 1", c.Len())
+	if n := c.Stats().Entries; n != 1 {
+		t.Fatalf("entries %d, want 1", n)
 	}
 }
 

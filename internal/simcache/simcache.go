@@ -13,16 +13,15 @@
 package simcache
 
 import (
-	"container/list"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"runtime/debug"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
+	"repro/internal/lru"
 )
 
 // Key returns the canonical content hash of a configuration. Two
@@ -61,26 +60,7 @@ func Cost(b core.Baseline) int64 {
 const DefaultCapBytes = 256 << 20
 
 // Stats is a point-in-time snapshot of cache effectiveness.
-type Stats struct {
-	// Entries is the number of cached baselines.
-	Entries int `json:"entries"`
-	// SizeBytes is the estimated resident size of all entries.
-	SizeBytes int64 `json:"size_bytes"`
-	// CapBytes is the configured bound.
-	CapBytes int64 `json:"cap_bytes"`
-	// Hits counts lookups served from a resident entry.
-	Hits uint64 `json:"hits"`
-	// Coalesced counts lookups that waited on a concurrent build of
-	// the same key instead of building their own.
-	Coalesced uint64 `json:"coalesced"`
-	// Misses counts lookups that built the baseline.
-	Misses uint64 `json:"misses"`
-	// Evictions counts entries discarded to respect CapBytes.
-	Evictions uint64 `json:"evictions"`
-	// HitRatio is (Hits+Coalesced) / (Hits+Coalesced+Misses), 0 when
-	// no lookups have happened.
-	HitRatio float64 `json:"hit_ratio"`
-}
+type Stats = lru.Stats
 
 // Builder produces the baseline for a configuration on a miss. It runs
 // outside the cache lock; the default is core.NewExperiment.
@@ -90,31 +70,7 @@ type Builder func(cfg core.ExperimentConfig) (*core.Experiment, error)
 // safe for concurrent use.
 type Cache struct {
 	build Builder
-
-	mu       sync.Mutex
-	capBytes int64
-	size     int64
-	ll       *list.List // front = most recently used; values are *entry
-	entries  map[string]*list.Element
-	inflight map[string]*flight
-
-	hits      uint64
-	coalesced uint64
-	misses    uint64
-	evictions uint64
-}
-
-type entry struct {
-	key  string
-	exp  *core.Experiment
-	cost int64
-}
-
-// flight is one in-progress build, shared by every waiter for its key.
-type flight struct {
-	done chan struct{}
-	exp  *core.Experiment
-	err  error
+	lru   *lru.Cache[string, *core.Experiment]
 }
 
 // New returns a cache bounded to capBytes of estimated baseline size
@@ -125,32 +81,16 @@ func New(capBytes int64) *Cache {
 		capBytes = DefaultCapBytes
 	}
 	return &Cache{
-		build:    core.NewExperiment,
-		capBytes: capBytes,
-		ll:       list.New(),
-		entries:  map[string]*list.Element{},
-		inflight: map[string]*flight{},
+		build: core.NewExperiment,
+		lru: lru.New[string](capBytes, func(exp *core.Experiment) int64 {
+			return Cost(exp.Prepared())
+		}),
 	}
 }
 
 // SetBuilder replaces the baseline builder (tests use this to count or
 // fail builds). Not safe to call concurrently with lookups.
 func (c *Cache) SetBuilder(b Builder) { c.build = b }
-
-// Get returns the cached experiment for cfg without building, and
-// whether it was present.
-func (c *Cache) Get(cfg core.ExperimentConfig) (*core.Experiment, bool) {
-	key := Key(cfg)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	c.hits++
-	return el.Value.(*entry).exp, true
-}
 
 // GetOrBuild returns the experiment for cfg, building and inserting
 // the baseline on a miss. hit reports whether the baseline was already
@@ -160,44 +100,9 @@ func (c *Cache) Get(cfg core.ExperimentConfig) (*core.Experiment, bool) {
 // build itself is not interrupted by ctx: the baseline stays useful
 // for every later request, so abandoning it would waste the work.
 func (c *Cache) GetOrBuild(ctx context.Context, cfg core.ExperimentConfig) (exp *core.Experiment, hit bool, err error) {
-	key := Key(cfg)
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.ll.MoveToFront(el)
-		c.hits++
-		c.mu.Unlock()
-		return el.Value.(*entry).exp, true, nil
-	}
-	if f, ok := c.inflight[key]; ok {
-		c.coalesced++
-		c.mu.Unlock()
-		select {
-		case <-f.done:
-			return f.exp, true, f.err
-		case <-ctx.Done():
-			return nil, true, ctx.Err()
-		}
-	}
-	f := &flight{done: make(chan struct{})}
-	c.inflight[key] = f
-	c.misses++
-	c.mu.Unlock()
-
-	func() {
-		// close runs whatever the builder does — a panicking builder
-		// must not leave every waiter for this key blocked forever on
-		// a flight that never completes.
-		defer close(f.done)
-		f.exp, f.err = c.runBuild(ctx, cfg)
-	}()
-
-	c.mu.Lock()
-	delete(c.inflight, key)
-	if f.err == nil {
-		c.insertLocked(key, f.exp)
-	}
-	c.mu.Unlock()
-	return f.exp, false, f.err
+	return c.lru.GetOrBuild(ctx, Key(cfg), func() (*core.Experiment, error) {
+		return c.runBuild(ctx, cfg)
+	})
 }
 
 // BuildError is the typed failure of a fill whose builder panicked,
@@ -218,9 +123,9 @@ func (e *BuildError) Error() string {
 // Retryable marks the failed fill eligible for retry by the job layer.
 func (e *BuildError) Retryable() bool { return true }
 
-// runBuild executes the builder for one flight: it fires the
+// runBuild executes the builder for one miss: it fires the
 // simcache.fill fault site first and converts a panicking builder into
-// a *BuildError so the flight always completes.
+// a *BuildError, so coalesced waiters receive the typed error.
 func (c *Cache) runBuild(ctx context.Context, cfg core.ExperimentConfig) (exp *core.Experiment, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -232,25 +137,6 @@ func (c *Cache) runBuild(ctx context.Context, cfg core.ExperimentConfig) (exp *c
 		return nil, fmt.Errorf("simcache: fill: %w", err)
 	}
 	return c.build(cfg)
-}
-
-// insertLocked adds the entry at the LRU front and evicts from the
-// back until the size bound holds. c.mu must be held.
-func (c *Cache) insertLocked(key string, exp *core.Experiment) {
-	if _, ok := c.entries[key]; ok {
-		return // a racing build of the same key already inserted
-	}
-	e := &entry{key: key, exp: exp, cost: Cost(exp.Prepared())}
-	c.entries[key] = c.ll.PushFront(e)
-	c.size += e.cost
-	for c.size > c.capBytes && c.ll.Len() > 1 {
-		back := c.ll.Back()
-		ev := back.Value.(*entry)
-		c.ll.Remove(back)
-		delete(c.entries, ev.key)
-		c.size -= ev.cost
-		c.evictions++
-	}
 }
 
 // Provider adapts the cache to core.Options.Experiments: a builder
@@ -267,28 +153,5 @@ func (c *Cache) Provider(ctx context.Context) func(core.ExperimentConfig) (*core
 	}
 }
 
-// Len returns the number of cached baselines.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
 // Stats returns a snapshot of the cache counters.
-func (c *Cache) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s := Stats{
-		Entries:   c.ll.Len(),
-		SizeBytes: c.size,
-		CapBytes:  c.capBytes,
-		Hits:      c.hits,
-		Coalesced: c.coalesced,
-		Misses:    c.misses,
-		Evictions: c.evictions,
-	}
-	if total := s.Hits + s.Coalesced + s.Misses; total > 0 {
-		s.HitRatio = float64(s.Hits+s.Coalesced) / float64(total)
-	}
-	return s
-}
+func (c *Cache) Stats() Stats { return c.lru.Stats() }

@@ -6,6 +6,8 @@ package systems
 import (
 	"fmt"
 	"math"
+	"os"
+	"strings"
 
 	"repro/internal/faultmodel"
 )
@@ -230,4 +232,27 @@ func FaultMixNames() []string {
 		out[i] = m.Name
 	}
 	return out
+}
+
+// ResolveFaultMix interprets a -fault-mix flag value: a preset name
+// first, else the path of a JSON spec file (docs/FAULTMODEL.md). An
+// empty arg selects no mixture and returns nil. Errors name the
+// argument; a missing file also lists the preset names.
+func ResolveFaultMix(arg string) (*faultmodel.Spec, error) {
+	if arg == "" {
+		return nil, nil
+	}
+	if mix, err := FaultMixByName(arg); err == nil {
+		return &mix.Spec, nil
+	}
+	data, err := os.ReadFile(arg)
+	if err != nil {
+		return nil, fmt.Errorf("-fault-mix %q is neither a preset (%s) nor a readable spec file: %v",
+			arg, strings.Join(FaultMixNames(), ", "), err)
+	}
+	spec, err := faultmodel.ParseSpec(data)
+	if err != nil {
+		return nil, fmt.Errorf("-fault-mix %s: %w", arg, err)
+	}
+	return &spec, nil
 }

@@ -2,6 +2,9 @@ package systems
 
 import (
 	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/mca"
@@ -209,5 +212,59 @@ func TestFaultMixes(t *testing.T) {
 	}
 	if cfg.BurstLen != 64 {
 		t.Fatalf("bursty-row storm burst len = %d, want 64", cfg.BurstLen)
+	}
+}
+
+func TestResolveFaultMix(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, body string) string {
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	valid := write("valid.json", `{"mtbce_ns": 1000000, "modes": [{"kind": "row", "weight": 1, "burst_len": 4, "burst_gap_ns": 1000}]}`)
+	malformed := write("malformed.json", `{"modes": [`)
+	missing := filepath.Join(dir, "missing.json")
+
+	cases := []struct {
+		name, arg string
+		wantKind  string   // first mode's kind on success
+		wantErr   []string // substrings the error must contain
+	}{
+		{name: "empty", arg: ""},
+		{name: "preset", arg: "bursty-row", wantKind: "cell"},
+		{name: "valid file", arg: valid, wantKind: "row"},
+		{name: "malformed file", arg: malformed, wantErr: []string{malformed}},
+		{name: "missing file", arg: missing, wantErr: append([]string{missing}, FaultMixNames()...)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			spec, err := ResolveFaultMix(tc.arg)
+			if tc.wantErr != nil {
+				if err == nil {
+					t.Fatalf("resolved %q without error", tc.arg)
+				}
+				for _, sub := range tc.wantErr {
+					if !strings.Contains(err.Error(), sub) {
+						t.Errorf("error %q does not mention %q", err, sub)
+					}
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.wantKind == "" {
+				if spec != nil {
+					t.Fatalf("empty arg resolved to %+v, want nil", spec)
+				}
+				return
+			}
+			if spec == nil || spec.Modes[0].Kind != tc.wantKind {
+				t.Fatalf("resolved %+v, want first mode %q", spec, tc.wantKind)
+			}
+		})
 	}
 }
