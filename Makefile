@@ -10,12 +10,15 @@ test:
 
 # Whole-repo race gate: every package under the race detector, not
 # just the targeted smokes, then the cache coalescing and wedge tests
-# rerun 50 times, since a scheduling-dependent flake there shows only
-# across many runs. CI runs this as its own job.
+# rerun 50 times and the simulator fork and figure fan-out tests 20
+# times, since a scheduling-dependent flake there shows only across
+# many runs. CI runs this as its own job.
 race:
 	$(GO) test -race -timeout 10m ./...
 	$(GO) test -race -count=50 -timeout 10m -run 'Coalesce|Wedge|ContextBounds' ./internal/lru/
 	$(GO) test -race -count=50 -timeout 10m -run 'Singleflight|Wedge' ./internal/simcache/
+	$(GO) test -race -count=20 -timeout 10m -run 'TestFork' ./internal/loggopsim/
+	$(GO) test -race -count=20 -timeout 20m -run 'TestFiguresInvariantToWorkerCount|TestFigureErrorOrder' ./internal/core/
 
 # Lint pipeline (docs/LINT.md): vet with the lock-copy and atomic
 # misuse analyzers called out explicitly (so a vet default change can

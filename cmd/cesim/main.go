@@ -87,38 +87,23 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	start := time.Now()
-	rep, err := exp.RunRepeated(core.Scenario{
+	sc := core.Scenario{
 		MTBCE:    mtbceNanos,
 		Arrivals: arrivals,
 		PerEvent: noise.Fixed(perEventNanos),
 		Target:   int32(*target),
 		Seed:     *seed + 1,
-	}, *reps)
+	}
+	start := time.Now()
+	// Repetitions fan out over GOMAXPROCS workers; the sample is
+	// accumulated in seed order, so it equals a sequential run's.
+	rep, err := exp.RunRepeatedParallel(sc, *reps, 0)
 	if err != nil {
 		fatal(err)
 	}
 	elapsed := time.Since(start)
 
-	t := report.New(fmt.Sprintf("cesim: %s on %d nodes", *workload, exp.Ranks()),
-		"metric", "value")
-	t.AddRow("ranks", fmt.Sprintf("%d", exp.Ranks()))
-	t.AddRow("baseline-makespan", report.Nanos(exp.Baseline().Makespan))
-	t.AddRow("mtbce-node", report.Nanos(mtbceNanos))
-	t.AddRow("per-event", report.Nanos(perEventNanos))
-	if arrivals != nil {
-		t.AddRow("fault-mix", arrivals.String())
-	}
-	if rep.Saturated && rep.Sample.N() == 0 {
-		t.AddRow("slowdown", "no-progress (CE load >= 1)")
-	} else {
-		s := rep.Sample.Summarize()
-		t.AddRow("slowdown-mean", report.Pct(s.Mean))
-		t.AddRow("slowdown-ci95", report.Pct(s.CI95))
-		t.AddRow("slowdown-min", report.Pct(s.Min))
-		t.AddRow("slowdown-max", report.Pct(s.Max))
-		t.AddRow("reps", fmt.Sprintf("%d", s.N))
-	}
+	t := sampleTable(*workload, exp, sc, perEventNanos, rep)
 	t.AddRow("wall-time", elapsed.Truncate(time.Millisecond).String())
 
 	var werr error
@@ -130,6 +115,31 @@ func main() {
 	if werr != nil {
 		fatal(werr)
 	}
+}
+
+// sampleTable renders the simulated outcome of a repeated scenario:
+// everything cesim prints except the host wall time.
+func sampleTable(workload string, exp *core.Experiment, sc core.Scenario, perEventNanos int64, rep *core.Repeated) *report.Table {
+	t := report.New(fmt.Sprintf("cesim: %s on %d nodes", workload, exp.Ranks()),
+		"metric", "value")
+	t.AddRow("ranks", fmt.Sprintf("%d", exp.Ranks()))
+	t.AddRow("baseline-makespan", report.Nanos(exp.Baseline().Makespan))
+	t.AddRow("mtbce-node", report.Nanos(sc.MTBCE))
+	t.AddRow("per-event", report.Nanos(perEventNanos))
+	if sc.Arrivals != nil {
+		t.AddRow("fault-mix", sc.Arrivals.String())
+	}
+	if rep.Saturated && rep.Sample.N() == 0 {
+		t.AddRow("slowdown", "no-progress (CE load >= 1)")
+	} else {
+		s := rep.Sample.Summarize()
+		t.AddRow("slowdown-mean", report.Pct(s.Mean))
+		t.AddRow("slowdown-ci95", report.Pct(s.CI95))
+		t.AddRow("slowdown-min", report.Pct(s.Min))
+		t.AddRow("slowdown-max", report.Pct(s.Max))
+		t.AddRow("reps", fmt.Sprintf("%d", s.N))
+	}
+	return t
 }
 
 // validateFlags rejects inconsistent flag combinations up front.

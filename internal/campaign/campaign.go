@@ -18,7 +18,7 @@ import (
 	"repro/internal/report"
 )
 
-// FigureRunner produces one sweep figure (ids "3".."7"). The default
+// FigureRunner produces one sweep figure (ids "3".."9"). The default
 // runs the in-process core driver; `cesweep -cluster` installs a
 // cluster.Client instead, so the sweep executes on a worker fleet
 // while the artifact-writing path below stays exactly the same — which

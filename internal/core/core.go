@@ -279,34 +279,34 @@ func (e *Experiment) runRepOnce(ctx context.Context, sim *loggopsim.Simulator, s
 			err = &RepetitionError{Seed: sc.Seed, PanicValue: r, Stack: string(debug.Stack())}
 		}
 	}()
-	if ferr := faultinject.Fire(ctx, faultinject.SiteRepetition); ferr != nil {
+	if ferr := faultinject.FireKey(ctx, faultinject.SiteRepetition, sc.Seed); ferr != nil {
 		return nil, false, &RepetitionError{Seed: sc.Seed, Err: ferr}
 	}
 	res, err = e.runOn(sim, sc)
 	return res, false, err
 }
 
-// runRep executes one repetition with panic recovery and bounded
-// same-seed retry. A panicking attempt discards the simulator (its
-// event queue and per-rank state may be mid-run) and replaces it with
-// a fresh one through *sim. retried reports the extra attempts spent.
-func (e *Experiment) runRep(ctx context.Context, sim **loggopsim.Simulator, sc Scenario) (res *RunResult, retried int, err error) {
+// runRep executes one repetition on w's simulator with panic recovery
+// and bounded same-seed retry. A panicking attempt discards the
+// simulator (its event queue and per-rank state may be mid-run) and
+// the retry runs on a replacement. retried reports the extra attempts
+// spent.
+func (e *Experiment) runRep(ctx context.Context, w *worker, sc Scenario) (res *RunResult, retried int, err error) {
 	for attempt := 0; ; attempt++ {
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, retried, cerr
 		}
+		sim, serr := w.simFor(e)
+		if serr != nil {
+			return nil, retried, serr
+		}
 		var panicked bool
-		res, panicked, err = e.runRepOnce(ctx, *sim, sc)
+		res, panicked, err = e.runRepOnce(ctx, sim, sc)
 		if err == nil {
 			return res, retried, nil
 		}
 		if panicked {
-			*sim = nil
-			ns, aerr := e.acquireSim()
-			if aerr != nil {
-				return nil, retried, aerr
-			}
-			*sim = ns
+			w.discard()
 		}
 		if !retryableErr(err) || attempt+1 >= repAttempts {
 			return nil, retried, err
@@ -354,39 +354,8 @@ func (r *Repeated) add(res *RunResult) {
 }
 
 // RunRepeated runs the scenario reps times with seeds sc.Seed,
-// sc.Seed+1, ... and collects the slowdown sample. See Repeated for
-// the saturation semantics.
+// sc.Seed+1, ... in seed order on one simulator and collects the
+// slowdown sample. See Repeated for the saturation semantics.
 func (e *Experiment) RunRepeated(sc Scenario, reps int) (*Repeated, error) {
-	return e.runRepeatedSeq(context.Background(), sc, reps)
-}
-
-// runRepeatedSeq is the sequential repetition loop, checking ctx
-// between repetitions so long scenario batches can be canceled. One
-// pooled simulator serves every repetition (replaced if an attempt
-// panics mid-run).
-func (e *Experiment) runRepeatedSeq(ctx context.Context, sc Scenario, reps int) (*Repeated, error) {
-	if reps < 1 {
-		return nil, fmt.Errorf("core: reps must be >= 1, got %d", reps)
-	}
-	sim, err := e.acquireSim()
-	if err != nil {
-		return nil, err
-	}
-	defer func() {
-		if sim != nil {
-			e.releaseSim(sim)
-		}
-	}()
-	out := &Repeated{}
-	for i := 0; i < reps; i++ {
-		sci := sc
-		sci.Seed = sc.Seed + uint64(i)
-		res, retried, err := e.runRep(ctx, &sim, sci)
-		if err != nil {
-			return nil, err
-		}
-		out.RetriedReps += retried
-		out.add(res)
-	}
-	return out, nil
+	return e.RunRepeatedParallelContext(context.Background(), sc, reps, 1)
 }

@@ -25,13 +25,10 @@ func Figure8(opts Options) (*Figure, error) {
 	opts = opts.withDefaults()
 	f := &Figure{ID: "fig8", Title: "application overhead vs fault-mix composition"}
 	const paperNodes = 16384
-	cache := newExpCache(opts)
+	plan := newRowPlan(opts)
 	for _, wl := range opts.Workloads {
 		nodes, comp := opts.nodesFor(paperNodes)
-		e, err := cache.get(wl, nodes)
-		if err != nil {
-			return nil, err
-		}
+		x := plan.experiment(wl, nodes)
 		mtbce := compensateMTBCE(faultMixMTBCE, comp)
 		for _, mix := range systems.FaultMixes() {
 			// A fresh Process per row: each row owns its handle table,
@@ -50,11 +47,12 @@ func Figure8(opts Options) (*Figure, error) {
 					Seed:     opts.Seed + 1,
 				}
 				row := Row{Workload: wl, System: mix.Name, Mode: mode.Name, PerEventNanos: mode.PerEventNanos}
-				if err := runRow(f, e, opts, row, sc); err != nil {
-					return nil, err
-				}
+				plan.add(x, row, sc)
 			}
 		}
+	}
+	if err := plan.run(f); err != nil {
+		return nil, err
 	}
 	return f, nil
 }
@@ -132,13 +130,10 @@ func Figure9(opts Options) (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	cache := newExpCache(opts)
+	plan := newRowPlan(opts)
 	for _, wl := range opts.Workloads {
 		nodes, comp := opts.nodesFor(paperNodes)
-		e, err := cache.get(wl, nodes)
-		if err != nil {
-			return nil, err
-		}
+		x := plan.experiment(wl, nodes)
 		mtbce := compensateMTBCE(faultMixMTBCE, comp)
 		for _, pe := range perEvents {
 			spec := fig9Spec(pe.burstLen)
@@ -160,10 +155,11 @@ func Figure9(opts Options) (*Figure, error) {
 				Mode:          pe.label,
 				PerEventNanos: pe.nanos,
 			}
-			if err := runRow(f, e, opts, row, sc); err != nil {
-				return nil, err
-			}
+			plan.add(x, row, sc)
 		}
+	}
+	if err := plan.run(f); err != nil {
+		return nil, err
 	}
 	return f, nil
 }

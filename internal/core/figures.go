@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/mca"
@@ -70,7 +71,9 @@ type Options struct {
 	// resident baseline. nil builds with NewExperiment. Baseline
 	// construction is deterministic, so any correct provider returns
 	// an experiment bit-identical to NewExperiment's and results never
-	// depend on who supplied it.
+	// depend on who supplied it. A driver builds its distinct
+	// experiments concurrently, so the provider is called from several
+	// goroutines at once and must be safe for that.
 	Experiments func(ExperimentConfig) (*Experiment, error) `json:"-"`
 }
 
@@ -170,41 +173,146 @@ func (f *Figure) Table() *report.Table {
 	return t
 }
 
-// expCache builds each (workload, nodes) experiment at most once per
-// figure.
-type expCache struct {
-	opts Options
-	m    map[string]*Experiment
+// rowPlan is a figure's rows, collected in output order before any
+// of them runs: a driver's loops describe the figure, then run
+// executes it. Rows are independent, so run fans them out over the
+// CPUs, while each row's repetitions still run in seed order on one
+// simulator; the rows, and every byte written from them, are those of
+// a sequential loop over the same scenarios.
+type rowPlan struct {
+	opts  Options
+	exps  []*planExp
+	byKey map[string]*planExp
+	rows  []plannedRow
 }
 
-func newExpCache(opts Options) *expCache {
-	return &expCache{opts: opts, m: map[string]*Experiment{}}
+// planExp is one distinct (workload, nodes) experiment of a plan,
+// built at most once per figure.
+type planExp struct {
+	workload string
+	nodes    int
+	// at is the plan position where a sequential loop would build the
+	// experiment: before the row at that index.
+	at  int
+	e   *Experiment
+	err error
 }
 
-func (c *expCache) get(workload string, nodes int) (*Experiment, error) {
+// plannedRow is one row of a plan: its labels and scenario.
+type plannedRow struct {
+	exp *planExp
+	row Row
+	sc  Scenario
+}
+
+func newRowPlan(opts Options) *rowPlan {
+	return &rowPlan{opts: opts, byKey: map[string]*planExp{}}
+}
+
+// experiment returns the plan's handle on the (workload, nodes)
+// experiment, registering it on first use.
+func (p *rowPlan) experiment(workload string, nodes int) *planExp {
 	key := fmt.Sprintf("%s/%d", workload, nodes)
-	if e, ok := c.m[key]; ok {
-		return e, nil
+	if x, ok := p.byKey[key]; ok {
+		return x
 	}
-	iters, err := c.opts.iterationsFor(workload, nodes)
+	x := &planExp{workload: workload, nodes: nodes, at: len(p.rows)}
+	p.byKey[key] = x
+	p.exps = append(p.exps, x)
+	return x
+}
+
+// add appends a row: sc repeated opts.Reps times on x's experiment.
+func (p *rowPlan) add(x *planExp, row Row, sc Scenario) {
+	p.rows = append(p.rows, plannedRow{exp: x, row: row, sc: sc})
+}
+
+func (p *rowPlan) build(x *planExp) (*Experiment, error) {
+	iters, err := p.opts.iterationsFor(x.workload, x.nodes)
 	if err != nil {
 		return nil, err
 	}
-	build := c.opts.Experiments
+	build := p.opts.Experiments
 	if build == nil {
 		build = NewExperiment
 	}
-	e, err := build(ExperimentConfig{
-		Workload:   workload,
-		Nodes:      nodes,
+	return build(ExperimentConfig{
+		Workload:   x.workload,
+		Nodes:      x.nodes,
 		Iterations: iters,
-		TraceSeed:  c.opts.Seed,
+		TraceSeed:  p.opts.Seed,
 	})
-	if err != nil {
-		return nil, err
+}
+
+// run executes the plan and appends its rows to f in plan order. The
+// distinct experiments are built concurrently first, then the rows run
+// on GOMAXPROCS workers. A failure returns the error a sequential loop
+// would have met first; a failed build counts at the position where
+// that loop built the experiment, so rows before it still run.
+func (p *rowPlan) run(f *Figure) error {
+	limit := len(p.rows)
+	if err := fanOut(len(p.exps), 0, func(_ *worker, i int) error {
+		x := p.exps[i]
+		x.e, x.err = p.build(x)
+		return x.err
+	}); err != nil {
+		for _, x := range p.exps {
+			if x.err != nil {
+				limit = x.at
+				break
+			}
+		}
 	}
-	c.m[key] = e
-	return e, nil
+	rows := make([]Row, limit)
+	if err := fanOut(limit, 0, func(w *worker, i int) error {
+		pr := &p.rows[i]
+		rep, err := pr.exp.e.repeat(w, pr.sc, p.opts.Reps)
+		if err != nil {
+			return err
+		}
+		rows[i] = pr.row.with(pr.exp.e, pr.sc, rep)
+		return nil
+	}); err != nil {
+		return err
+	}
+	for _, x := range p.exps {
+		if x.err != nil {
+			return x.err
+		}
+	}
+	f.Rows = append(f.Rows, rows...)
+	return nil
+}
+
+// repeat runs reps repetitions of sc in seed order on w's simulator:
+// one figure row.
+func (e *Experiment) repeat(w *worker, sc Scenario, reps int) (*Repeated, error) {
+	out := &Repeated{}
+	for i := 0; i < reps; i++ {
+		sci := sc
+		sci.Seed = sc.Seed + uint64(i)
+		res, retried, err := e.runRep(context.Background(), w, sci)
+		if err != nil {
+			return nil, err
+		}
+		out.RetriedReps += retried
+		out.add(res)
+	}
+	return out, nil
+}
+
+// with fills the row's measured fields from a repeated scenario.
+func (row Row) with(e *Experiment, sc Scenario, rep *Repeated) Row {
+	row.Nodes = e.Ranks()
+	row.Reps = rep.Sample.N()
+	row.SaturatedReps = rep.SaturatedReps
+	row.MTBCENanos = sc.MTBCE
+	row.MeanPct = rep.Sample.Mean()
+	row.CI95Pct = rep.Sample.CI95()
+	// A partially saturated point still has a usable mean; only a fully
+	// saturated one is rendered as "no-progress".
+	row.Saturated = rep.Saturated && rep.Sample.N() == 0
+	return row
 }
 
 // iterationsFor picks the iteration count for a workload: the explicit
@@ -251,25 +359,6 @@ func (o Options) iterationsFor(workload string, nodes int) (int, error) {
 	return iters, nil
 }
 
-// runRow executes one repeated scenario and appends a Row.
-func runRow(f *Figure, e *Experiment, opts Options, row Row, sc Scenario) error {
-	rep, err := e.RunRepeated(sc, opts.Reps)
-	if err != nil {
-		return err
-	}
-	row.Nodes = e.Ranks()
-	row.Reps = rep.Sample.N()
-	row.SaturatedReps = rep.SaturatedReps
-	row.MTBCENanos = sc.MTBCE
-	row.MeanPct = rep.Sample.Mean()
-	row.CI95Pct = rep.Sample.CI95()
-	// A partially saturated point still has a usable mean; only a fully
-	// saturated one is rendered as "no-progress".
-	row.Saturated = rep.Saturated && rep.Sample.N() == 0
-	f.Rows = append(f.Rows, row)
-	return nil
-}
-
 // Figure2 regenerates the node-level noise signatures (Fig. 2a-d plus
 // the "all logging off" case described in prose) and returns the
 // signatures plus a summary figure of per-mode detour statistics.
@@ -310,12 +399,9 @@ func Figure3(opts Options) (*Figure, error) {
 		1 * nsPerMs, 10 * nsPerMs, 100 * nsPerMs, 200 * nsPerMs,
 		1 * nsPerS, 10 * nsPerS, 100 * nsPerS, 1000 * nsPerS, 10000 * nsPerS,
 	}
-	cache := newExpCache(opts)
+	plan := newRowPlan(opts)
 	for _, wl := range opts.Workloads {
-		e, err := cache.get(wl, opts.Nodes)
-		if err != nil {
-			return nil, err
-		}
+		x := plan.experiment(wl, opts.Nodes)
 		for _, mode := range systems.LoggingModes() {
 			for i, mtbce := range mtbces {
 				sc := Scenario{
@@ -325,11 +411,12 @@ func Figure3(opts Options) (*Figure, error) {
 					Seed:     opts.Seed + uint64(i)*1000 + 1,
 				}
 				row := Row{Workload: wl, Mode: mode.Name, PerEventNanos: mode.PerEventNanos}
-				if err := runRow(f, e, opts, row, sc); err != nil {
-					return nil, err
-				}
+				plan.add(x, row, sc)
 			}
 		}
+	}
+	if err := plan.run(f); err != nil {
+		return nil, err
 	}
 	return f, nil
 }
@@ -361,14 +448,11 @@ func Figure5(opts Options) (*Figure, error) {
 // runSystems shares the Fig. 4/5 loop: systems x logging modes x
 // workloads.
 func runSystems(f *Figure, opts Options, rows []systems.System) error {
-	cache := newExpCache(opts)
+	plan := newRowPlan(opts)
 	for _, wl := range opts.Workloads {
 		for _, sys := range rows {
 			nodes, comp := opts.nodesFor(sys.SimNodes)
-			e, err := cache.get(wl, nodes)
-			if err != nil {
-				return err
-			}
+			x := plan.experiment(wl, nodes)
 			mtbce := compensateMTBCE(sys.MTBCENanos(), comp)
 			for _, mode := range systems.LoggingModes() {
 				sc := Scenario{
@@ -378,13 +462,11 @@ func runSystems(f *Figure, opts Options, rows []systems.System) error {
 					Seed:     opts.Seed + 1,
 				}
 				row := Row{Workload: wl, System: sys.Name, Mode: mode.Name, PerEventNanos: mode.PerEventNanos}
-				if err := runRow(f, e, opts, row, sc); err != nil {
-					return err
-				}
+				plan.add(x, row, sc)
 			}
 		}
 	}
-	return nil
+	return plan.run(f)
 }
 
 // Figure6 regenerates the software/OS-reporting stress test: extreme
@@ -394,13 +476,10 @@ func Figure6(opts Options) (*Figure, error) {
 	f := &Figure{ID: "fig6", Title: "software/OS reporting at extreme CE rates"}
 	const paperNodes = 16384
 	mtbces := []int64{36 * nsPerS, 3600 * nsPerMs, 1008 * nsPerMs}
-	cache := newExpCache(opts)
+	plan := newRowPlan(opts)
 	for _, wl := range opts.Workloads {
 		nodes, comp := opts.nodesFor(paperNodes)
-		e, err := cache.get(wl, nodes)
-		if err != nil {
-			return nil, err
-		}
+		x := plan.experiment(wl, nodes)
 		for _, mtbce := range mtbces {
 			for _, mode := range systems.LoggingModes() {
 				sc := Scenario{
@@ -414,11 +493,12 @@ func Figure6(opts Options) (*Figure, error) {
 					System:        fmt.Sprintf("exascale@%s", report.Nanos(mtbce)),
 					PerEventNanos: mode.PerEventNanos,
 				}
-				if err := runRow(f, e, opts, row, sc); err != nil {
-					return nil, err
-				}
+				plan.add(x, row, sc)
 			}
 		}
+	}
+	if err := plan.run(f); err != nil {
+		return nil, err
 	}
 	return f, nil
 }
@@ -434,13 +514,10 @@ func Figure7(opts Options) (*Figure, error) {
 	const paperNodes = 16384
 	mtbces := []int64{200 * nsPerMs, 720 * nsPerS}
 	durations := []int64{150, 1 * nsPerUs, 10 * nsPerUs, 100 * nsPerUs, 775 * nsPerUs, 10 * nsPerMs, 133 * nsPerMs}
-	cache := newExpCache(opts)
+	plan := newRowPlan(opts)
 	for _, wl := range opts.Workloads {
 		nodes, comp := opts.nodesFor(paperNodes)
-		e, err := cache.get(wl, nodes)
-		if err != nil {
-			return nil, err
-		}
+		x := plan.experiment(wl, nodes)
 		for _, mtbce := range mtbces {
 			for _, dur := range durations {
 				sc := Scenario{
@@ -454,11 +531,12 @@ func Figure7(opts Options) (*Figure, error) {
 					System:   fmt.Sprintf("exascale@%s", report.Nanos(mtbce)),
 					Mode:     report.Nanos(dur), PerEventNanos: dur,
 				}
-				if err := runRow(f, e, opts, row, sc); err != nil {
-					return nil, err
-				}
+				plan.add(x, row, sc)
 			}
 		}
+	}
+	if err := plan.run(f); err != nil {
+		return nil, err
 	}
 	return f, nil
 }

@@ -46,18 +46,14 @@ func Surface(opts Options, workload string, mtbces, durations []int64) (*Figure,
 		ColLabel: "per-event",
 		LogScale: true,
 	}
-	cache := newExpCache(opts)
+	plan := newRowPlan(opts)
 	nodes, comp := opts.nodesFor(paperNodes)
-	e, err := cache.get(workload, nodes)
-	if err != nil {
-		return nil, nil, err
-	}
+	x := plan.experiment(workload, nodes)
 	for _, d := range durations {
 		hm.ColNames = append(hm.ColNames, report.Nanos(d))
 	}
 	for _, mtbce := range mtbces {
 		hm.RowNames = append(hm.RowNames, report.Nanos(mtbce))
-		row := make([]float64, 0, len(durations))
 		for _, d := range durations {
 			sc := Scenario{
 				MTBCE:    compensateMTBCE(mtbce, comp),
@@ -70,14 +66,19 @@ func Surface(opts Options, workload string, mtbces, durations []int64) (*Figure,
 				System:   fmt.Sprintf("surface@%s", report.Nanos(mtbce)),
 				Mode:     report.Nanos(d), PerEventNanos: d,
 			}
-			if err := runRow(f, e, opts, rrow, sc); err != nil {
-				return nil, nil, err
-			}
-			last := f.Rows[len(f.Rows)-1]
-			if last.Saturated {
+			plan.add(x, rrow, sc)
+		}
+	}
+	if err := plan.run(f); err != nil {
+		return nil, nil, err
+	}
+	for i := range mtbces {
+		row := make([]float64, 0, len(durations))
+		for _, r := range f.Rows[i*len(durations) : (i+1)*len(durations)] {
+			if r.Saturated {
 				row = append(row, -1)
 			} else {
-				row = append(row, last.MeanPct)
+				row = append(row, r.MeanPct)
 			}
 		}
 		hm.Values = append(hm.Values, row)

@@ -131,6 +131,12 @@ type SiteConfig struct {
 	DelayNanos int64 `json:"delay_ns,omitempty"`
 	// Seed drives the site's private fire/no-fire stream.
 	Seed uint64 `json:"seed,omitempty"`
+	// Keys, when set, confines the site to evaluations made through
+	// FireKey with one of these keys; every other evaluation is
+	// counted but neither fires nor advances the stream. Sites keyed
+	// by work identity (core.repetition keys by CE seed) then fault
+	// the same work under any worker schedule.
+	Keys []uint64 `json:"keys,omitempty"`
 }
 
 func (c SiteConfig) validate(site string) error {
@@ -252,11 +258,15 @@ func hashString(s string) uint64 {
 	return h
 }
 
-// roll reports whether the site fires this evaluation.
-func (s *siteState) roll() bool {
+// roll reports whether the site fires this evaluation; keyed tells
+// whether the evaluation carries key.
+func (s *siteState) roll(key uint64, keyed bool) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.evals++
+	if len(s.cfg.Keys) > 0 && !(keyed && s.hasKey(key)) {
+		return false
+	}
 	if s.cfg.Count > 0 && s.fired >= s.cfg.Count {
 		return false
 	}
@@ -267,6 +277,15 @@ func (s *siteState) roll() bool {
 	}
 	s.fired++
 	return true
+}
+
+func (s *siteState) hasKey(key uint64) bool {
+	for _, k := range s.cfg.Keys {
+		if k == key {
+			return true
+		}
+	}
+	return false
 }
 
 // Injector is an armed set of sites. Construct with NewInjector; most
@@ -294,8 +313,13 @@ func NewInjector(p Plan) (*Injector, error) {
 
 // fire evaluates one site, injecting its fault if it rolls.
 func (inj *Injector) fire(ctx context.Context, site string) error {
+	return inj.fireKey(ctx, site, 0, false)
+}
+
+// fireKey is fire for an evaluation that may carry a key.
+func (inj *Injector) fireKey(ctx context.Context, site string, key uint64, keyed bool) error {
 	s, ok := inj.sites[site]
-	if !ok || !s.roll() {
+	if !ok || !s.roll(key, keyed) {
 		return nil
 	}
 	switch s.cfg.Kind {
@@ -351,6 +375,16 @@ func Fire(ctx context.Context, site string) error {
 		return nil
 	}
 	return inj.fire(ctx, site)
+}
+
+// FireKey is Fire for an evaluation identified by key, which a site
+// armed with SiteConfig.Keys matches against.
+func FireKey(ctx context.Context, site string, key uint64) error {
+	inj := active.Load()
+	if inj == nil {
+		return nil
+	}
+	return inj.fireKey(ctx, site, key, true)
 }
 
 // SiteStats is one site's counters in a Stats snapshot.

@@ -242,3 +242,30 @@ func TestLoadPlan(t *testing.T) {
 		t.Fatal("unknown field accepted")
 	}
 }
+
+// TestKeysConfineFiring checks a keyed site fires only on evaluations
+// carrying a listed key, whatever order they arrive in, and that
+// unkeyed or unlisted evaluations leave the budget untouched.
+func TestKeysConfineFiring(t *testing.T) {
+	inj, err := NewInjector(Plan{SiteRepetition: {Kind: KindError, Probability: 1, Count: 2, Keys: []uint64{7, 9}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, key := range []uint64{1, 2, 3} {
+		if err := inj.fireKey(ctx, SiteRepetition, key, true); err != nil {
+			t.Fatalf("unlisted key %d fired: %v", key, err)
+		}
+	}
+	if err := inj.fire(ctx, SiteRepetition); err != nil {
+		t.Fatalf("unkeyed evaluation fired: %v", err)
+	}
+	for _, key := range []uint64{9, 7} {
+		if err := inj.fireKey(ctx, SiteRepetition, key, true); err == nil {
+			t.Fatalf("listed key %d did not fire", key)
+		}
+	}
+	if err := inj.fireKey(ctx, SiteRepetition, 7, true); err != nil {
+		t.Fatalf("listed key fired past the count budget: %v", err)
+	}
+}

@@ -2,7 +2,9 @@
 // drained by a fixed worker pool, with per-job deadlines, cooperative
 // cancellation and a graceful drain for SIGTERM handling. Simulation
 // requests accepted by internal/server become jobs here; the heavy
-// lifting inside a job fans out further via core.RunRepeatedParallel.
+// lifting inside a job fans out further over GOMAXPROCS goroutines:
+// simulate jobs through core.RunRepeatedParallel, sweep jobs through
+// the figure drivers' row fan-out.
 //
 // The pool is self-healing: a panicking job body is recovered and
 // converted into a typed *JobError with the goroutine stack captured

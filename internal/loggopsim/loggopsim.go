@@ -299,16 +299,21 @@ func (st *rankState) freeSlot(idx int32) {
 // is freshly allocated so callers may retain results across runs.
 //
 // A Simulator is not safe for concurrent use; run one per goroutine.
-// Results are bit-identical to a fresh Simulate call with the same
-// trace, configuration and noise model.
+// Fork gives a second goroutine its own simulator without recompiling
+// the trace. Results are bit-identical to a fresh Simulate call with
+// the same trace, configuration and noise model.
 type Simulator struct {
 	cfg    Config
 	net    netmodel.Params
 	local  *netmodel.Params
 	rpn    int32   // ranks per node
-	nic    []int64 // per-node NIC-free time
 	node   []int32 // rank -> node, so the hot path never divides
 	extraL func(src, dst int32) int64
+	// cops is the compiled program, one op slice per rank. It is
+	// immutable once NewSimulator returns and shared by every Fork.
+	cops [][]cop
+
+	nic    []int64 // per-node NIC-free time
 	noise  noise.Model
 	ranks  []rankState
 	msgs   []rdvMsg
@@ -359,32 +364,70 @@ func NewSimulator(tr *trace.Trace, cfg Config) (*Simulator, error) {
 	if rpn < 0 {
 		return nil, fmt.Errorf("loggopsim: ranks per node must be positive, got %d", rpn)
 	}
-	newQueue := eventq.New
-	if cfg.ShadowQueue {
-		newQueue = eventq.NewShadow
-	}
 	s := &Simulator{
-		cfg:       cfg,
-		net:       cfg.Net,
-		local:     cfg.LocalNet,
-		rpn:       int32(rpn),
-		nic:       make([]int64, (n+rpn-1)/rpn),
-		node:      make([]int32, n),
-		ranks:     make([]rankState, n),
-		q:         newQueue(1024),
-		nextNoise: make([]int64, n),
-		extraL:    cfg.ExtraLatency,
+		cfg:    cfg,
+		net:    cfg.Net,
+		local:  cfg.LocalNet,
+		rpn:    int32(rpn),
+		node:   make([]int32, n),
+		extraL: cfg.ExtraLatency,
+		cops:   make([][]cop, n),
 	}
 	for r := range s.node {
 		s.node[r] = int32(r) / s.rpn
 	}
-	if cfg.Profile {
+	for r := range s.cops {
+		s.cops[r] = s.compile(int32(r), tr.Ops[r])
+	}
+	s.initState()
+	return s, nil
+}
+
+// Fork returns a simulator for the same trace and configuration that
+// shares the receiver's compiled program read-only and owns fresh
+// mutable state: event queue, rank and NIC timelines, match queues and
+// profile counters. The compiled ops are almost all of a simulator's
+// memory, so a fork costs a fraction of NewSimulator in time and
+// space, and its runs are bit-identical to the receiver's.
+//
+// Fork reads only what NewSimulator fixed, so it may be called while
+// the receiver runs on another goroutine, and the fork may then run
+// concurrently with it. Config is shared too: concurrent runs must
+// pass their own noise model to Run rather than fall back to
+// Config.Noise, and Config.ExtraLatency must be safe for concurrent
+// calls.
+func (s *Simulator) Fork() *Simulator {
+	f := &Simulator{
+		cfg:    s.cfg,
+		net:    s.net,
+		local:  s.local,
+		rpn:    s.rpn,
+		node:   s.node,
+		extraL: s.extraL,
+		cops:   s.cops,
+	}
+	f.initState()
+	return f
+}
+
+// initState allocates the per-run mutable state around the compiled
+// program.
+func (s *Simulator) initState() {
+	n := len(s.cops)
+	newQueue := eventq.New
+	if s.cfg.ShadowQueue {
+		newQueue = eventq.NewShadow
+	}
+	s.nic = make([]int64, (n+int(s.rpn)-1)/int(s.rpn))
+	s.ranks = make([]rankState, n)
+	for r := range s.ranks {
+		s.ranks[r].cops = s.cops[r]
+	}
+	s.q = newQueue(1024)
+	s.nextNoise = make([]int64, n)
+	if s.cfg.Profile {
 		s.profRank = make([]rankProf, n)
 	}
-	for r := range s.ranks {
-		s.ranks[r].cops = s.compile(int32(r), tr.Ops[r])
-	}
-	return s, nil
 }
 
 // compile lowers one rank's trace into compiled ops (see cop).

@@ -8,6 +8,7 @@ package loggopsim
 // sweep jobs) reuse preallocated state.
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/collectives"
@@ -61,38 +62,47 @@ func int64sEqual(a, b []int64) bool {
 // field, including the per-rank profile decomposition.
 func requireIdentical(t *testing.T, label string, fresh, reused *Result) {
 	t.Helper()
+	if err := resultDiff(label, fresh, reused); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// resultDiff is requireIdentical's check as an error, for goroutines
+// other than the test's.
+func resultDiff(label string, fresh, reused *Result) error {
 	if fresh.Makespan != reused.Makespan {
-		t.Fatalf("%s: makespan %d != %d", label, reused.Makespan, fresh.Makespan)
+		return fmt.Errorf("%s: makespan %d != %d", label, reused.Makespan, fresh.Makespan)
 	}
 	if !int64sEqual(fresh.FinishTimes, reused.FinishTimes) {
-		t.Fatalf("%s: finish times diverged\nfresh:  %v\nreused: %v", label, fresh.FinishTimes, reused.FinishTimes)
+		return fmt.Errorf("%s: finish times diverged\nfresh:  %v\nreused: %v", label, fresh.FinishTimes, reused.FinishTimes)
 	}
 	if fresh.Events != reused.Events {
-		t.Fatalf("%s: events %d != %d", label, reused.Events, fresh.Events)
+		return fmt.Errorf("%s: events %d != %d", label, reused.Events, fresh.Events)
 	}
 	if fresh.Messages != reused.Messages {
-		t.Fatalf("%s: messages %d != %d", label, reused.Messages, fresh.Messages)
+		return fmt.Errorf("%s: messages %d != %d", label, reused.Messages, fresh.Messages)
 	}
 	if fresh.BytesMoved != reused.BytesMoved {
-		t.Fatalf("%s: bytes %d != %d", label, reused.BytesMoved, fresh.BytesMoved)
+		return fmt.Errorf("%s: bytes %d != %d", label, reused.BytesMoved, fresh.BytesMoved)
 	}
 	if fresh.Deadlocked != reused.Deadlocked || fresh.TimedOut != reused.TimedOut {
-		t.Fatalf("%s: termination flags diverged", label)
+		return fmt.Errorf("%s: termination flags diverged", label)
 	}
 	if (fresh.Profile == nil) != (reused.Profile == nil) {
-		t.Fatalf("%s: profile presence diverged", label)
+		return fmt.Errorf("%s: profile presence diverged", label)
 	}
 	if fresh.Profile != nil {
 		fp, rp := fresh.Profile, reused.Profile
 		if fp.Work != rp.Work || fp.Detour != rp.Detour || fp.Wait != rp.Wait {
-			t.Fatalf("%s: profile totals diverged: %+v vs %+v", label, rp, fp)
+			return fmt.Errorf("%s: profile totals diverged: %+v vs %+v", label, rp, fp)
 		}
 		if !int64sEqual(fp.PerRankWork, rp.PerRankWork) ||
 			!int64sEqual(fp.PerRankDetour, rp.PerRankDetour) ||
 			!int64sEqual(fp.PerRankWait, rp.PerRankWait) {
-			t.Fatalf("%s: per-rank profile diverged", label)
+			return fmt.Errorf("%s: per-rank profile diverged", label)
 		}
 	}
+	return nil
 }
 
 func TestSimulatorReuseBitIdentical(t *testing.T) {

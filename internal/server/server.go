@@ -765,7 +765,7 @@ func (s *Server) simulateFunc(cfg core.ExperimentConfig, sc core.Scenario, req S
 // SweepRequest is the POST /v1/sweep body: regenerate one evaluation
 // figure, optionally at reduced scale.
 type SweepRequest struct {
-	// Figure is "3", "4", "5", "6" or "7".
+	// Figure is one of "3" through "9".
 	Figure string `json:"figure"`
 	// Scale is "reduced" (default) or "paper".
 	Scale string `json:"scale,omitempty"`
